@@ -8,9 +8,9 @@
 //     docs/ARCHITECTURE.md); a package without one is a subsystem the
 //     next reader has to reverse-engineer.
 //   - Relative links: every relative markdown link in README.md,
-//     ROADMAP.md, CHANGES.md, and docs/*.md must resolve to a file or
-//     directory in the repo. Dead relative links are how doc rot
-//     starts — the CI docs-lint step fails on them.
+//     ROADMAP.md, CHANGES.md, docs/*.md and perfbench/README.md must
+//     resolve to a file or directory in the repo. Dead relative links
+//     are how doc rot starts — the CI docs-lint step fails on them.
 //
 // Usage:
 //
@@ -127,10 +127,10 @@ var (
 )
 
 // lintRelativeLinks checks that relative links in the repo's top-level
-// markdown files and docs/ resolve.
+// markdown files, docs/, and the benchmark's README resolve.
 func lintRelativeLinks(root string) ([]string, error) {
 	var files []string
-	for _, name := range []string{"README.md", "ROADMAP.md", "CHANGES.md", "PAPER.md"} {
+	for _, name := range []string{"README.md", "ROADMAP.md", "CHANGES.md", "PAPER.md", "perfbench/README.md"} {
 		p := filepath.Join(root, name)
 		if _, err := os.Stat(p); err == nil {
 			files = append(files, p)

@@ -108,4 +108,19 @@ func TestRelativeLinkDetection(t *testing.T) {
 	if dead != 1 {
 		t.Errorf("findings = %v, want one for nope.md", findings)
 	}
+	// The benchmark's README is checked too, relative to perfbench/.
+	write(t, root, "perfbench/README.md", "[perf](../docs/GOOD.md) [gone](../docs/RETIRED.md)\n")
+	findings, err = Lint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench []string
+	for _, f := range findings {
+		if strings.HasPrefix(f, "perfbench/README.md:") {
+			bench = append(bench, f)
+		}
+	}
+	if len(bench) != 1 || !strings.Contains(bench[0], "RETIRED.md") {
+		t.Errorf("perfbench/README.md findings = %v, want one for RETIRED.md", bench)
+	}
 }

@@ -1,21 +1,19 @@
-// Package benchfp captures a host fingerprint for benchmark baseline
-// files. Every BENCH_*.json writer embeds Current() next to its
-// numbers, and cmd/benchcheck prints the recorded fingerprint beside
-// its comparison table, so a "regression" measured on a different (or
-// merely busier) machine than the baseline's is diagnosable as
-// cross-host noise instead of being mistaken for a real slowdown.
-// docs/PERF.md describes the update protocol the fingerprint backs.
+// Package benchfp captures a host fingerprint for benchmark results.
+// perfbench prints Current() in the context line of every run, so a
+// difference measured on a different (or merely busier) machine is
+// diagnosable as cross-host noise instead of being mistaken for a
+// real change. docs/PERF.md describes the same-host protocol the
+// fingerprint backs.
 package benchfp
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"runtime"
 	"strings"
 )
 
-// Host identifies the machine and runtime a baseline was measured on.
+// Host identifies the machine and runtime a result was measured on.
 type Host struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
@@ -37,16 +35,6 @@ func Current() Host {
 		OS:         runtime.GOOS,
 		Arch:       runtime.GOARCH,
 	}
-}
-
-// String renders the fingerprint the way benchcheck prints it.
-func (h Host) String() string {
-	model := ""
-	if h.CPUModel != "" {
-		model = " " + h.CPUModel
-	}
-	return fmt.Sprintf("%s/%s%s (%d cpu, GOMAXPROCS %d, %s)",
-		h.OS, h.Arch, model, h.NumCPU, h.GoMaxProcs, h.GoVersion)
 }
 
 // cpuModel returns the first "model name" from /proc/cpuinfo, or "".

@@ -55,6 +55,23 @@ const (
 	MaxWorkers = 256
 )
 
+// maxRequestBytes bounds a slice or provenance request body, so the
+// server stops reading before it has buffered a body Validate would
+// reject. It is the compact encoding of the largest request Validate
+// accepts: MaxCriteria criteria at their widest, every other field at
+// its widest, and a trace id of the longest registry form (a 255-byte
+// directory name, "@", an 8-hex collision tag) with every byte
+// \u-escaped.
+const (
+	maxCriterionBytes = len(`{"tid":65535,"n":281474976710655,"pc":-2147483648},`)
+	maxTraceIDBytes   = 6 * (255 + 1 + 8)
+	maxFixedBytes     = len(`{"trace":"","direction":"backward","criteria":[],` +
+		`"follow_control":true,"follow_anti":true,"max_nodes":9223372036854775807,` +
+		`"workers":256,"deadline_ms":9223372036854775807,` +
+		`"budget_chunk_loads":9223372036854775807,"raw":true}`)
+	maxRequestBytes = MaxCriteria*maxCriterionBytes + maxTraceIDBytes + maxFixedBytes
+)
+
 // Criterion is one slicing start point on the wire.
 type Criterion struct {
 	// TID is the thread id.
@@ -330,11 +347,18 @@ func decodeStrict(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	// A second Decode must see EOF: one request per body.
-	if dec.More() {
-		return errors.New("query: trailing data after JSON value")
+	// One value per body: the next token must be EOF. (dec.More is
+	// not enough: it reports false before a stray ']' or '}'.) A read
+	// error, such as the server's body limit, passes through.
+	_, err := dec.Token()
+	if err == io.EOF {
+		return nil
 	}
-	return nil
+	var syntax *json.SyntaxError
+	if err != nil && !errors.As(err, &syntax) {
+		return err
+	}
+	return errors.New("query: trailing data after JSON value")
 }
 
 // DecodeSliceRequest decodes and validates a slice request.

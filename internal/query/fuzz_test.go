@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -25,6 +27,8 @@ func FuzzQueryCodec(f *testing.F) {
 		"x", "forward", 3, uint64(17), true, int32(42), false, true, 0, 0, int64(0), int64(0), true, 0.0)
 	f.Add([]byte(`{"trace":"t","direction":"backward","criteria":[{"tid":0}],"bogus":1}`),
 		"", "sideways", -1, uint64(1)<<60, true, int32(-7), false, false, -1, 999, int64(-2), int64(-3), false, math.Inf(1))
+	f.Add([]byte(`{"trace":"t","direction":"backward","criteria":[{"tid":0}]}]`),
+		"t", "backward", 0, uint64(0), false, int32(0), false, false, 0, 0, int64(0), int64(0), false, 0.0)
 
 	f.Fuzz(func(t *testing.T, raw []byte,
 		trace, direction string, tid int, n uint64, hasPC bool, pc int32,
@@ -165,5 +169,31 @@ func TestInvalidUTF8TraceRejected(t *testing.T) {
 	preq := &ProvenanceRequest{Trace: "t\xff", Criteria: req.Criteria}
 	if err := preq.Validate(); err == nil {
 		t.Fatal("provenance Validate accepted an invalid-UTF-8 trace id")
+	}
+}
+
+// TestDecodeRejectsTrailingData pins the one-value-per-body rule: the
+// decoders used to check dec.More, which reports false before a stray
+// ']' or '}', so a valid request followed by closing brackets was
+// accepted.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	cases := []struct {
+		kind, body string
+		decode     func(io.Reader) error
+	}{
+		{"slice", `{"trace":"t","direction":"backward","criteria":[{"tid":0}]}`,
+			func(r io.Reader) error { _, err := DecodeSliceRequest(r); return err }},
+		{"provenance", `{"trace":"t","criteria":[{"tid":0}]}`,
+			func(r io.Reader) error { _, err := DecodeProvenanceRequest(r); return err }},
+	}
+	for _, c := range cases {
+		if err := c.decode(strings.NewReader(c.body + " \n")); err != nil {
+			t.Fatalf("%s: valid body with trailing whitespace rejected: %v", c.kind, err)
+		}
+		for _, tail := range []string{"}", "]", " ]]]", "x", "{}"} {
+			if err := c.decode(strings.NewReader(c.body + tail)); err == nil {
+				t.Errorf("%s: body with trailing %q accepted", c.kind, tail)
+			}
+		}
 	}
 }

@@ -2,16 +2,12 @@ package query
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"scaldift/internal/benchfp"
 	"scaldift/internal/ddg"
 	"scaldift/internal/store"
 )
@@ -20,9 +16,6 @@ import (
 // spill throughput under a live retention budget (the writer plans,
 // journals, and unlinks trims inline with sealing) and the result
 // cache's repeat-query latency over real HTTP.
-//
-// TestWriteBenchLifecycleJSON (env LIFECYCLE_BENCH_JSON=1) writes
-// BENCH_lifecycle.json at the repo root.
 
 // lifecycleSink captures a chunk stream for replay through writers.
 type lifecycleSink struct{ chunks []ddg.RawChunk }
@@ -138,117 +131,4 @@ func BenchmarkLifecycleCacheHit(b *testing.B) {
 	if el := b.Elapsed().Seconds(); el > 0 {
 		b.ReportMetric(float64(b.N)/el, "queries/s")
 	}
-}
-
-// --- BENCH_lifecycle.json ---
-
-type lifecycleBenchReport struct {
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	Host       benchfp.Host        `json:"host"`
-	Note       string              `json:"note"`
-	Retention  lifecycleBenchSpill `json:"retention_spill"`
-	Cache      lifecycleBenchCache `json:"cache"`
-}
-
-type lifecycleBenchSpill struct {
-	TraceBytes      uint64  `json:"trace_bytes"`
-	Chunks          int     `json:"chunks"`
-	WallS           float64 `json:"wall_s"`
-	MBPerSec        float64 `json:"mb_per_sec"`
-	SegmentsTrimmed uint64  `json:"segments_trimmed"`
-}
-
-type lifecycleBenchCache struct {
-	ColdWallS     float64 `json:"cold_wall_s"`
-	HitWallS      float64 `json:"hit_wall_s"`
-	HitQueriesPS  float64 `json:"hit_queries_per_sec"`
-	SpeedupVsCold float64 `json:"speedup_vs_cold"`
-}
-
-func TestWriteBenchLifecycleJSON(t *testing.T) {
-	if os.Getenv("LIFECYCLE_BENCH_JSON") == "" {
-		t.Skip("set LIFECYCLE_BENCH_JSON=1 to generate BENCH_lifecycle.json")
-	}
-	const reps = 5
-	chunks, bytes := lifecycleChunks()
-
-	report := lifecycleBenchReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Host:       benchfp.Current(),
-		Note: "Fleet lifecycle layer. retention_spill = replaying a pre-recorded 4-thread " +
-			"chunk stream through a writer holding a 64KiB byte budget over 16KiB segments, " +
-			"so every seal plans, journals (manifest first, unlink second), and applies " +
-			"trims inline; cache = one slice request (4 criteria, whole-store closure) over " +
-			"real HTTP against a closed trace, cold compute vs repeat served from the " +
-			"generation-keyed LRU result cache. speedup_vs_cold is the dashboard repeat-" +
-			"query win; any trim or seal bumps the manifest generation and invalidates " +
-			"naturally.",
-	}
-
-	dirs := 0
-	spillDir := t.TempDir()
-	var trimmed uint64
-	wall := bestOf(reps, func() {
-		trimmed = spillRetained(t, filepath.Join(spillDir, "r", time.Now().Format("150405.000000000")), chunks)
-		dirs++
-	})
-	report.Retention = lifecycleBenchSpill{
-		TraceBytes:      bytes,
-		Chunks:          len(chunks),
-		WallS:           wall,
-		MBPerSec:        float64(bytes) / (1 << 20) / wall,
-		SegmentsTrimmed: trimmed,
-	}
-
-	cl, req, stop := lifecycleService(t)
-	defer stop()
-	ctx := context.Background()
-	cold, err := cl.Slice(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Cached {
-		t.Fatal("first query claims a cache hit")
-	}
-	report.Cache.ColdWallS = cold.WallMillis / 1e3
-
-	const hitBatch = 200
-	hitWall := bestOf(reps, func() {
-		for i := 0; i < hitBatch; i++ {
-			resp, err := cl.Slice(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resp.Cached {
-				t.Fatal("repeat query missed the result cache")
-			}
-		}
-	})
-	report.Cache.HitWallS = hitWall / hitBatch
-	report.Cache.HitQueriesPS = hitBatch / hitWall
-	report.Cache.SpeedupVsCold = report.Cache.ColdWallS / report.Cache.HitWallS
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_lifecycle.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_lifecycle.json: %s", data)
-}
-
-// bestOf mirrors the store bench convention: best wall of reps runs,
-// each from a settled heap.
-func bestOf(reps int, f func()) float64 {
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		runtime.GC()
-		start := time.Now()
-		f()
-		if el := time.Since(start).Seconds(); best == 0 || el < best {
-			best = el
-		}
-	}
-	return best
 }

@@ -501,10 +501,20 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	return resp, http.StatusOK, nil
 }
 
+// decodeStatus maps a request decode error to its HTTP status: 413
+// for a body over maxRequestBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeSliceRequest(r.Body)
+	req, err := DecodeSliceRequest(http.MaxBytesReader(w, r.Body, int64(maxRequestBytes)))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, decodeStatus(err), "%v", err)
 		return
 	}
 	resp, status, err := s.runSlice(r.Context(), req)
@@ -516,9 +526,9 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeProvenanceRequest(r.Body)
+	req, err := DecodeProvenanceRequest(http.MaxBytesReader(w, r.Body, int64(maxRequestBytes)))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, decodeStatus(err), "%v", err)
 		return
 	}
 	t, ok := s.reg.Get(req.Trace)

@@ -1,7 +1,12 @@
 package query
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -331,5 +336,79 @@ func TestServerDeadline(t *testing.T) {
 	if got.Nodes > full.Nodes || got.Edges > full.Edges {
 		t.Fatalf("deadline-limited slice larger than full: %d/%d vs %d/%d",
 			got.Nodes, got.Edges, full.Nodes, full.Edges)
+	}
+}
+
+// TestServerBodyLimit: slice and provenance bodies are capped at
+// maxRequestBytes before decoding, so an oversized body is refused
+// 413 without being buffered, while the largest request Validate
+// accepts still fits and is served.
+func TestServerBodyLimit(t *testing.T) {
+	// The limit covers the widest encodings it claims to.
+	pc := int32(math.MinInt32)
+	widest := Criterion{TID: MaxTID - 1, N: MaxN - 1, PC: &pc}
+	enc, err := json.Marshal(widest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc)+1 != maxCriterionBytes {
+		t.Fatalf("widest criterion encodes to %d bytes + separator, maxCriterionBytes = %d", len(enc), maxCriterionBytes)
+	}
+	big := &SliceRequest{
+		Trace:     strings.Repeat("\x01", 255) + "@" + strings.Repeat("\x01", 8),
+		Direction: DirBackward, FollowControl: true, FollowAnti: true,
+		MaxNodes: math.MaxInt, Workers: MaxWorkers, DeadlineMillis: math.MaxInt64,
+		BudgetChunkLoads: math.MaxInt64, Raw: true,
+	}
+	for i := 0; i < MaxCriteria; i++ {
+		big.Criteria = append(big.Criteria, widest)
+	}
+	if err := big.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ = json.Marshal(big); len(enc) > maxRequestBytes {
+		t.Fatalf("widest valid request is %d bytes, over the %d-byte limit", len(enc), maxRequestBytes)
+	}
+
+	w := prog.Compress(150, 1)
+	cl, id, _, _ := newService(t, w, true, ServerOptions{})
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := cl.hc.Post(cl.base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// pad right-fills a request with whitespace to exactly n bytes.
+	pad := func(req any, n int) []byte {
+		t.Helper()
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > n {
+			t.Fatalf("request is %d bytes, cannot pad to %d", len(data), n)
+		}
+		return append(data, bytes.Repeat([]byte(" "), n-len(data))...)
+	}
+	crits := make([]Criterion, MaxCriteria)
+	for path, req := range map[string]any{
+		"/v1/slice":      &SliceRequest{Trace: id, Direction: DirBackward, Criteria: crits},
+		"/v1/provenance": &ProvenanceRequest{Trace: id, Criteria: crits},
+	} {
+		if got := post(path, pad(req, maxRequestBytes)); got != http.StatusOK {
+			t.Fatalf("%s: %d criteria at the limit: http %d, want 200", path, MaxCriteria, got)
+		}
+		if got := post(path, pad(req, maxRequestBytes+1)); got != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: one byte over the limit: http %d, want 413", path, got)
+		}
+	}
+	// The refusals cost the server nothing lasting: it keeps serving.
+	if _, err := cl.Slice(context.Background(), &SliceRequest{Trace: id, Direction: DirBackward,
+		Criteria: []Criterion{{TID: 0}}}); err != nil {
+		t.Fatalf("query after 413s: %v", err)
 	}
 }
