@@ -60,9 +60,8 @@ func main() {
 	liveRefresh := flag.Duration("live-refresh", time.Second, "poll interval for live traces' frontiers (needs -live; 0 disables the poller)")
 	maxQueries := flag.Int("max-queries", 4, "concurrent slice/provenance query limit")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
-	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "clamp on requested per-query deadlines")
+	maxDeadline := flag.Duration("max-deadline", query.DefaultMaxDeadline, "clamp on requested per-query deadlines; the connection write timeout is derived from it")
 	budget := flag.Int64("budget-chunks", 0, "default per-query chunk-load budget (0 = unlimited)")
-	workers := flag.Int("workers", 8, "default traversal shard switch")
 	cacheChunks := flag.Int("cache-chunks", 0, "per-thread decoded-chunk cache bound per trace reader (0 = store default)")
 	attach := flag.Bool("attach-workloads", true, "attach built-in workload programs to traces named after them")
 	readerTTL := flag.Duration("reader-ttl", 15*time.Minute, "evict a cold trace's reader after this much idle time (0 = never)")
@@ -105,19 +104,14 @@ func main() {
 	refreshOnce()
 	log.Printf("serving %d trace(s) from %d root(s) on %s", reg.Len(), len(roots), *addr)
 
-	srv := &http.Server{
-		Addr: *addr,
-		Handler: query.NewServer(reg, query.ServerOptions{
-			MaxConcurrent:      *maxQueries,
-			DefaultDeadline:    *deadline,
-			MaxDeadline:        *maxDeadline,
-			Workers:            *workers,
-			BudgetChunkLoads:   *budget,
-			OnRefresh:          onAdded,
-			ResultCacheEntries: *resultCache,
-		}).Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(*addr, query.NewServer(reg, query.ServerOptions{
+		MaxConcurrent:      *maxQueries,
+		DefaultDeadline:    *deadline,
+		MaxDeadline:        *maxDeadline,
+		BudgetChunkLoads:   *budget,
+		OnRefresh:          onAdded,
+		ResultCacheEntries: *resultCache,
+	}).Handler(), *maxDeadline)
 
 	// Ticker goroutines are tracked by the WaitGroup so shutdown can
 	// wait out an in-flight refresh before closing the registry — a
@@ -211,6 +205,38 @@ func main() {
 	tickers.Wait()
 	if err := reg.Close(); err != nil {
 		log.Printf("registry close: %v", err)
+	}
+}
+
+// Connection bounds, so a client can neither trickle a request nor
+// hold an idle keep-alive connection indefinitely. The write timeout
+// runs from the end of a request's header to the end of its response,
+// so it spans the body read (at most readTimeout), the query itself
+// (at most the -max-deadline clamp), and encoding the answer:
+// newHTTPServer sets it to the clamp plus writeMargin, and no legal
+// query is cut off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	writeMargin       = readTimeout + 30*time.Second
+)
+
+// newHTTPServer builds the daemon's HTTP server over the query
+// handler with the connection bounds above. A non-positive
+// maxDeadline means the query service's default clamp, as it does in
+// query.ServerOptions.
+func newHTTPServer(addr string, h http.Handler, maxDeadline time.Duration) *http.Server {
+	if maxDeadline <= 0 {
+		maxDeadline = query.DefaultMaxDeadline
+	}
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      maxDeadline + writeMargin,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

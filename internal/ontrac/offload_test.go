@@ -98,8 +98,8 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts Options, tr *T
 		if !okI {
 			pcI, pcO = -1, -1
 		}
-		bi := slicing.Backward(ri, w.Prog, []slicing.Criterion{{ID: crit, PC: pcI}}, sopts)
-		bo := slicing.Backward(ro, w.Prog, []slicing.Criterion{{ID: crit, PC: pcO}}, sopts)
+		bi := slicing.ParallelBackward(ri, w.Prog, []slicing.Criterion{{ID: crit, PC: pcI}}, sopts, 1)
+		bo := slicing.ParallelBackward(ro, w.Prog, []slicing.Criterion{{ID: crit, PC: pcO}}, sopts, 1)
 		if fmt.Sprint(bi.Lines) != fmt.Sprint(bo.Lines) {
 			t.Fatalf("seed %d tid %d: backward slices diverged:\ninline    %v\noffloaded %v",
 				seed, tid, bi.Lines, bo.Lines)
@@ -113,8 +113,8 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts Options, tr *T
 		// Forward slice of the thread's first instance, over the raw
 		// stored graphs (Forward consumes any ddg.Source).
 		start := []ddg.ID{ddg.MakeID(tid, 1)}
-		fi := slicing.Forward(ri, w.Prog, start, sopts)
-		fo := slicing.Forward(ro, w.Prog, start, sopts)
+		fi := slicing.ParallelForward(ri, w.Prog, start, sopts, 1)
+		fo := slicing.ParallelForward(ro, w.Prog, start, sopts, 1)
 		if fmt.Sprint(fi.Lines) != fmt.Sprint(fo.Lines) {
 			t.Fatalf("seed %d tid %d: forward slices diverged:\ninline    %v\noffloaded %v",
 				seed, tid, fi.Lines, fo.Lines)

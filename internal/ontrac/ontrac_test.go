@@ -44,8 +44,8 @@ done:
 
 func sliceLines(t *testing.T, src ddg.Source, prog *isa.Program, id ddg.ID, pc int32, ctrl bool) []int {
 	t.Helper()
-	s := slicing.Backward(src, prog, []slicing.Criterion{{ID: id, PC: pc}},
-		slicing.Options{FollowControl: ctrl})
+	s := slicing.ParallelBackward(src, prog, []slicing.Criterion{{ID: id, PC: pc}},
+		slicing.Options{FollowControl: ctrl}, 1)
 	return s.Lines
 }
 
@@ -289,8 +289,8 @@ func TestCircularBufferWindow(t *testing.T) {
 	if p, ok := buf.NodePC(id); ok {
 		pc = p
 	}
-	s := slicing.Backward(tr.Reader(), prog, []slicing.Criterion{{ID: id, PC: pc}},
-		slicing.Options{FollowControl: true})
+	s := slicing.ParallelBackward(tr.Reader(), prog, []slicing.Criterion{{ID: id, PC: pc}},
+		slicing.Options{FollowControl: true}, 1)
 	if s.Nodes == 0 {
 		t.Fatal("empty slice from newest record")
 	}

@@ -42,8 +42,8 @@ func TestStaticReconstructorMatchesRecordingReader(t *testing.T) {
 					pc = -1
 				}
 				crits := []slicing.Criterion{{ID: crit, PC: pc}}
-				want := slicing.Backward(live, w.Prog, crits, sopts)
-				got := slicing.Backward(static, w.Prog, crits, sopts)
+				want := slicing.ParallelBackward(live, w.Prog, crits, sopts, 1)
+				got := slicing.ParallelBackward(static, w.Prog, crits, sopts, 1)
 				if fmt.Sprint(want.Lines) != fmt.Sprint(got.Lines) ||
 					want.Nodes != got.Nodes || want.Edges != got.Edges {
 					t.Fatalf("tid %d: static reconstruction diverged:\nlive   %v (%d/%d)\nstatic %v (%d/%d)",
@@ -53,7 +53,7 @@ func TestStaticReconstructorMatchesRecordingReader(t *testing.T) {
 				// mean anything: the raw source alone yields a smaller
 				// closure whenever O1 elided edges on this chain.
 				var rawSrc ddg.Source = off.Shards()
-				raw := slicing.Backward(rawSrc, w.Prog, crits, sopts)
+				raw := slicing.ParallelBackward(rawSrc, w.Prog, crits, sopts, 1)
 				if raw.Edges > want.Edges {
 					t.Fatalf("tid %d: raw slice larger than reconstructed", tid)
 				}

@@ -1061,7 +1061,7 @@ type nodeKey struct {
 // BackwardPCs computes the backward data slice from instance (tid, n)
 // as the set of instruction indices on any data-dependence path into
 // it, including its own. This is the ground truth for
-// slicing.Backward with FollowControl and FollowAnti off.
+// slicing.ParallelBackward with FollowControl and FollowAnti off.
 func (r *OracleRun) BackwardPCs(tid int, n uint64) map[int32]bool {
 	pcs := make(map[int32]bool)
 	pc, ok := r.NodePC(tid, n)
@@ -1090,7 +1090,7 @@ func (r *OracleRun) BackwardPCs(tid int, n uint64) map[int32]bool {
 // BackwardPCsBounded is BackwardPCs under the slicer's
 // window-truncation rule: a dependence whose def instance lies below
 // its thread's lower bound (lows[tid], 0 = unbounded) contributes its
-// static PC but is not expanded further, exactly as slicing.Backward
+// static PC but is not expanded further, exactly as slicing.ParallelBackward
 // treats instances below a source's retained window. This is the
 // ground truth for slicing over elided traces, whose stored window
 // starts at the thread's first stored record rather than its first

@@ -304,17 +304,11 @@ func (s *scenario) pipelines() {
 	s.checkLineage("pipeline-lineage", ld.Manager(), lp, lr)
 }
 
-// graphSource is the read surface shared by ontrac.Reader,
-// store.Reader, and every other ddg.Source the graph legs compare.
-type graphSource interface {
-	ddg.Source
-}
-
 // checkGraph compares a recorded dependence graph — thread windows,
 // node PCs, and backward/forward slices from each thread's window
-// edges — against the oracle's brute-force closures. workers > 0
-// selects the parallel slicers.
-func (s *scenario) checkGraph(leg string, src graphSource, workers int) {
+// edges — against the oracle's brute-force closures, slicing with the
+// given shard count (1 for sources not safe for concurrent reads).
+func (s *scenario) checkGraph(leg string, src ddg.Source, workers int) {
 	s.tb.Helper()
 	w := s.want
 	wantTIDs := w.RecordedThreads()
@@ -337,12 +331,7 @@ func (s *scenario) checkGraph(leg string, src graphSource, workers int) {
 		}
 
 		crit := []slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: wantPC}}
-		var back *slicing.Slice
-		if workers > 0 {
-			back = slicing.ParallelBackward(src, s.g.Prog, crit, slicing.Options{}, workers)
-		} else {
-			back = slicing.Backward(src, s.g.Prog, crit, slicing.Options{})
-		}
+		back := slicing.ParallelBackward(src, s.g.Prog, crit, slicing.Options{}, workers)
 		// No TruncatedAtWindow assertion: a thread's stored window
 		// starts at its first dep-having instance, so edges to earlier
 		// dep-free defs legitimately raise the (pessimistic) flag even
@@ -351,12 +340,7 @@ func (s *scenario) checkGraph(leg string, src graphSource, workers int) {
 		s.checkPCSet(leg+"/backward", tid, back.PCs, w.BackwardPCs(tid, hi))
 
 		start := []ddg.ID{ddg.MakeID(tid, lo)}
-		var fwd *slicing.Slice
-		if workers > 0 {
-			fwd = slicing.ParallelForward(src, s.g.Prog, start, slicing.Options{}, workers)
-		} else {
-			fwd = slicing.Forward(src, s.g.Prog, start, slicing.Options{})
-		}
+		fwd := slicing.ParallelForward(src, s.g.Prog, start, slicing.Options{}, workers)
 		s.checkPCSet(leg+"/forward", tid, fwd.PCs, w.ForwardPCs(tid, lo))
 		checked++
 	}
@@ -422,7 +406,7 @@ func (s *scenario) offloaded() {
 	if err := wr.Close(); err != nil {
 		s.tb.Fatal(err)
 	}
-	s.checkGraph("ontrac", off.Reader(), 0)
+	s.checkGraph("ontrac", off.Reader(), 1)
 
 	r, err := store.Open(dir, store.ReaderOptions{CacheChunks: 4})
 	if err != nil {
@@ -454,7 +438,7 @@ func (s *scenario) served(root, dir string) {
 	if err := reg.AttachProgram(id, s.g.Prog, ontrac.Options{}); err != nil {
 		s.tb.Fatal(err)
 	}
-	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2, Workers: 2}).Handler())
+	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2}).Handler())
 	defer srv.Close()
 	cl := query.NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -530,8 +514,8 @@ func (s *scenario) elided() {
 	for _, tid := range w.RecordedThreads() {
 		_, hi := w.RecordedWindow(tid)
 		pc, _ := w.NodePC(tid, hi)
-		back := slicing.Backward(r, s.g.Prog,
-			[]slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}, slicing.Options{})
+		back := slicing.ParallelBackward(r, s.g.Prog,
+			[]slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}, slicing.Options{}, 1)
 		want := w.BackwardPCsBounded(tid, hi, lows, nil)
 		for wantPC := range want {
 			if !back.PCs[wantPC] {
@@ -597,8 +581,8 @@ func (s *scenario) trimmed(chunks []ddg.RawChunk) {
 	for _, tid := range w.RecordedThreads() {
 		_, hi := w.RecordedWindow(tid)
 		pc, _ := w.NodePC(tid, hi)
-		back := slicing.Backward(r, s.g.Prog,
-			[]slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}, slicing.Options{})
+		back := slicing.ParallelBackward(r, s.g.Prog,
+			[]slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}, slicing.Options{}, 1)
 		s.checkPCSet("trimmed/backward", tid, back.PCs, w.BackwardPCsBounded(tid, hi, lows, nil))
 	}
 
@@ -610,7 +594,7 @@ func (s *scenario) trimmed(chunks []ddg.RawChunk) {
 	}
 	defer reg.Close()
 	id := filepath.Base(dir)
-	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2, Workers: 2}).Handler())
+	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2}).Handler())
 	defer srv.Close()
 	cl := query.NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -780,8 +764,8 @@ func (s *scenario) liveAttached() {
 		if !ok {
 			s.failf("live", "frontier instance (%d,%d) unknown to the oracle", tid, hi)
 		}
-		back := slicing.Backward(r, s.g.Prog,
-			[]slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}, slicing.Options{})
+		back := slicing.ParallelBackward(r, s.g.Prog,
+			[]slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}, slicing.Options{}, 1)
 		s.checkPCSet("live/backward", tid, back.PCs, w.BackwardPCsBounded(tid, hi, nil, highs))
 	}
 
@@ -799,7 +783,7 @@ func (s *scenario) liveAttached() {
 	if err := reg.AttachProgram(id, s.g.Prog, ontrac.Options{}); err != nil {
 		s.tb.Fatal(err)
 	}
-	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2, Workers: 2}).Handler())
+	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2}).Handler())
 	defer srv.Close()
 	cl := query.NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -839,7 +823,7 @@ func (s *scenario) liveAttached() {
 	if r.Live() {
 		s.failf("live", "follower still live after the writer closed")
 	}
-	s.checkGraph("live/final", r, 0)
+	s.checkGraph("live/final", r, 1)
 
 	// ...and the service flips the same id to served-complete: full
 	// unbounded closures, no live fields on the wire.

@@ -99,7 +99,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(NewServer(reg, ServerOptions{MaxConcurrent: 4, Workers: 4}).Handler())
+	srv := httptest.NewServer(NewServer(reg, ServerOptions{MaxConcurrent: 4}).Handler())
 	defer srv.Close()
 	cl := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -140,32 +140,33 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 				resp, err := cl.Slice(ctx, &SliceRequest{
 					Trace: id, Direction: DirBackward,
 					Criteria:      []Criterion{{TID: tid, N: hi}},
-					FollowControl: true, Workers: 4,
+					FollowControl: true,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct := slicing.ParallelBackward(src, e.w.Prog, directCrit, sopts, 4)
+				direct := slicing.ParallelBackward(src, e.w.Prog, directCrit, sopts, sliceWorkers)
 				if err := sameSlice(resp, direct); err != nil {
 					t.Fatalf("tid %d backward: %v", tid, err)
 				}
-				// And the sequential root: ParallelBackward is pinned to
-				// Backward elsewhere, but anchor the whole chain here too.
-				seq := slicing.Backward(src, e.w.Prog, directCrit, sopts)
-				if err := sameSlice(resp, seq); err != nil {
-					t.Fatalf("tid %d backward vs sequential: %v", tid, err)
+				// And the one-shard root: the sharded traversal is
+				// pinned to it elsewhere, but anchor the whole chain
+				// here too.
+				one := slicing.ParallelBackward(src, e.w.Prog, directCrit, sopts, 1)
+				if err := sameSlice(resp, one); err != nil {
+					t.Fatalf("tid %d backward vs one shard: %v", tid, err)
 				}
 
 				// Forward: served vs direct ParallelForward.
 				fresp, err := cl.Slice(ctx, &SliceRequest{
 					Trace: id, Direction: DirForward,
 					Criteria:      []Criterion{{TID: tid, N: lo}},
-					FollowControl: true, Workers: 4,
+					FollowControl: true,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				fdirect := slicing.ParallelForward(src, e.w.Prog, []ddg.ID{start}, sopts, 4)
+				fdirect := slicing.ParallelForward(src, e.w.Prog, []ddg.ID{start}, sopts, sliceWorkers)
 				if err := sameSlice(fresp, fdirect); err != nil {
 					t.Fatalf("tid %d forward: %v", tid, err)
 				}
@@ -184,12 +185,12 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			// Multi-criteria fan-out, both directions.
 			resp, err := cl.Slice(ctx, &SliceRequest{
 				Trace: id, Direction: DirBackward, Criteria: allCrits,
-				FollowControl: true, Workers: 4,
+				FollowControl: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameSlice(resp, slicing.ParallelBackward(src, e.w.Prog, directCrits, sopts, 4)); err != nil {
+			if err := sameSlice(resp, slicing.ParallelBackward(src, e.w.Prog, directCrits, sopts, sliceWorkers)); err != nil {
 				t.Fatalf("multi backward: %v", err)
 			}
 			var fwdCrits []Criterion
@@ -198,24 +199,24 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			}
 			fresp, err := cl.Slice(ctx, &SliceRequest{
 				Trace: id, Direction: DirForward, Criteria: fwdCrits,
-				FollowControl: true, Workers: 4,
+				FollowControl: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameSlice(fresp, slicing.ParallelForward(src, e.w.Prog, directStarts, sopts, 4)); err != nil {
+			if err := sameSlice(fresp, slicing.ParallelForward(src, e.w.Prog, directStarts, sopts, sliceWorkers)); err != nil {
 				t.Fatalf("multi forward: %v", err)
 			}
 
 			// Provenance: served input set vs direct recomputation
 			// (backward data-only slice filtered to IN instructions).
 			prov, err := cl.Provenance(ctx, &ProvenanceRequest{
-				Trace: id, Criteria: allCrits, Workers: 4,
+				Trace: id, Criteria: allCrits,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dataSlice := slicing.ParallelBackward(src, e.w.Prog, directCrits, slicing.Options{}, 4)
+			dataSlice := slicing.ParallelBackward(src, e.w.Prog, directCrits, slicing.Options{}, sliceWorkers)
 			var wantPCs []int32
 			for pc := range dataSlice.PCs {
 				if int(pc) < len(e.w.Prog.Instrs) && e.w.Prog.Instrs[pc].Op == isa.IN {

@@ -32,7 +32,7 @@ func FuzzQueryCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte,
 		trace, direction string, tid int, n uint64, hasPC bool, pc int32,
-		followControl, followAnti bool, maxNodes, workers int,
+		followControl, followAnti bool, maxNodes, edges int,
 		deadlineMillis, budget int64, rawFlag bool, wall float64) {
 
 		// Part 1: arbitrary bytes through the strict decoders.
@@ -67,7 +67,6 @@ func FuzzQueryCodec(f *testing.F) {
 			FollowControl:    followControl,
 			FollowAnti:       followAnti,
 			MaxNodes:         maxNodes,
-			Workers:          workers,
 			DeadlineMillis:   deadlineMillis,
 			BudgetChunkLoads: budget,
 			Raw:              rawFlag,
@@ -109,7 +108,7 @@ func FuzzQueryCodec(f *testing.F) {
 				Direction:       direction,
 				PCs:             []int32{pc, pc + 1},
 				Nodes:           maxNodes,
-				Edges:           workers,
+				Edges:           edges,
 				ChunkLoads:      budget,
 				WallMillis:      wall,
 				BudgetExhausted: followAnti,

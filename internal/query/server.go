@@ -29,12 +29,9 @@ type ServerOptions struct {
 	MaxConcurrent int
 	// DefaultDeadline applies when a request names none (default 30s).
 	DefaultDeadline time.Duration
-	// MaxDeadline clamps requested deadlines (default 2m).
+	// MaxDeadline clamps requested deadlines (default
+	// DefaultMaxDeadline).
 	MaxDeadline time.Duration
-	// Workers is the default traversal shard switch handed to
-	// slicing.ParallelBackward / ParallelForward (default 8; the Go
-	// scheduler multiplexes shards over the machine).
-	Workers int
 	// BudgetChunkLoads is the default per-query chunk-decode budget;
 	// 0 means unlimited unless the request asks for a budget.
 	BudgetChunkLoads int64
@@ -51,6 +48,16 @@ type ServerOptions struct {
 	OnRefresh func(added []string)
 }
 
+// DefaultMaxDeadline is the deadline clamp a ServerOptions with no
+// positive MaxDeadline gets.
+const DefaultMaxDeadline = 2 * time.Minute
+
+// sliceWorkers is the shard switch the server hands the slicers: any
+// value above 1 runs one shard per trace thread, which the server can
+// always afford because its sources (store.Reader) are safe for
+// concurrent reads.
+const sliceWorkers = 8
+
 func (o *ServerOptions) fill() {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 4
@@ -59,10 +66,7 @@ func (o *ServerOptions) fill() {
 		o.DefaultDeadline = 30 * time.Second
 	}
 	if o.MaxDeadline <= 0 {
-		o.MaxDeadline = 2 * time.Minute
-	}
-	if o.Workers <= 0 {
-		o.Workers = 8
+		o.MaxDeadline = DefaultMaxDeadline
 	}
 	if o.ResultCacheEntries == 0 {
 		o.ResultCacheEntries = 256
@@ -158,9 +162,9 @@ func (c *resultCache) invalidateTrace(trace string) {
 
 // sliceCacheKey hashes everything that determines a slice answer: the
 // trace id, its manifest generation (bumped by every trim and seal),
-// the traversal options, and the resolved criteria. Workers and
-// deadline are deliberately excluded — they shape wall time, not the
-// answer.
+// the traversal options, and the resolved criteria. The deadline is
+// deliberately excluded: it shapes wall time, not the answer (a
+// traversal it cuts short is never cached).
 func sliceCacheKey(trace string, gen uint64, req *SliceRequest, crits []slicing.Criterion) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -443,10 +447,6 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 			return resp, http.StatusOK, nil
 		}
 	}
-	workers := s.opts.Workers
-	if req.Workers > 0 {
-		workers = req.Workers
-	}
 	sopts := slicing.Options{
 		FollowControl: req.FollowControl,
 		FollowAnti:    req.FollowAnti,
@@ -457,13 +457,13 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	start := time.Now()
 	var sl *slicing.Slice
 	if req.Direction == DirBackward {
-		sl = slicing.ParallelBackward(src, t.Program(), crits, sopts, workers)
+		sl = slicing.ParallelBackward(src, t.Program(), crits, sopts, sliceWorkers)
 	} else {
 		ids := make([]ddg.ID, len(crits))
 		for i, c := range crits {
 			ids[i] = c.ID
 		}
-		sl = slicing.ParallelForward(src, t.Program(), ids, sopts, workers)
+		sl = slicing.ParallelForward(src, t.Program(), ids, sopts, sliceWorkers)
 	}
 	wall := time.Since(start)
 	s.served.Add(1)

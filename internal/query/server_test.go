@@ -357,7 +357,7 @@ func TestServerBodyLimit(t *testing.T) {
 	big := &SliceRequest{
 		Trace:     strings.Repeat("\x01", 255) + "@" + strings.Repeat("\x01", 8),
 		Direction: DirBackward, FollowControl: true, FollowAnti: true,
-		MaxNodes: math.MaxInt, Workers: MaxWorkers, DeadlineMillis: math.MaxInt64,
+		MaxNodes: math.MaxInt, DeadlineMillis: math.MaxInt64,
 		BudgetChunkLoads: math.MaxInt64, Raw: true,
 	}
 	for i := 0; i < MaxCriteria; i++ {
@@ -410,5 +410,33 @@ func TestServerBodyLimit(t *testing.T) {
 	if _, err := cl.Slice(context.Background(), &SliceRequest{Trace: id, Direction: DirBackward,
 		Criteria: []Criterion{{TID: 0}}}); err != nil {
 		t.Fatalf("query after 413s: %v", err)
+	}
+}
+
+// TestServerRejectsWorkersField: the traversal shard count is the
+// server's choice, not a request field, so strict decoding answers 400
+// to a body that still names one, and 200 to the same body without it.
+func TestServerRejectsWorkersField(t *testing.T) {
+	w := prog.Compress(150, 1)
+	cl, id, _, _ := newService(t, w, true, ServerOptions{})
+	trace, err := json.Marshal(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/slice":      `{"trace":` + string(trace) + `,"direction":"backward","criteria":[{"tid":0}]`,
+		"/v1/provenance": `{"trace":` + string(trace) + `,"criteria":[{"tid":0}]`,
+	} {
+		for suffix, want := range map[string]int{`,"workers":4}`: http.StatusBadRequest, `}`: http.StatusOK} {
+			resp, err := cl.hc.Post(cl.base+path, "application/json", strings.NewReader(body+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s %s: http %d, want %d", path, body+suffix, resp.StatusCode, want)
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // buildWorkloadGraph runs a workload under the full extractor with a
 // randomized schedule and returns its graph.
-func buildWorkloadGraph(t *testing.T, w *prog.Workload, seed uint64) *ddg.Full {
+func buildWorkloadGraph(t testing.TB, w *prog.Workload, seed uint64) *ddg.Full {
 	t.Helper()
 	w.Cfg.Seed = seed
 	w.Cfg.RandomPreempt = true
@@ -39,10 +39,11 @@ func newestWithDeps(g *ddg.Full, tid int) ddg.ID {
 	return 0
 }
 
-// TestParallelBackwardMatchesSequential holds ParallelBackward to
-// Backward's exact results (Lines, PCs, Nodes, Edges) on every
-// workload, across worker counts, from every thread's newest
-// instance.
+// TestParallelBackwardMatchesSequential holds the sharded backward
+// traversal to the one-shard run's exact results (Lines, PCs, Nodes,
+// Edges, truncation) on every workload, across worker counts, from
+// every thread's newest instance. The one-shard run is the sequential
+// slicer: one goroutine drains every thread.
 func TestParallelBackwardMatchesSequential(t *testing.T) {
 	for _, w := range prog.All() {
 		w := w
@@ -59,18 +60,21 @@ func TestParallelBackwardMatchesSequential(t *testing.T) {
 					pc = -1
 				}
 				crits := []Criterion{{ID: crit, PC: pc}}
-				seq := Backward(g, w.Prog, crits, opts)
+				one := ParallelBackward(g, w.Prog, crits, opts, 1)
 				for _, workers := range []int{2, 4} {
 					par := ParallelBackward(g, w.Prog, crits, opts, workers)
-					if fmt.Sprint(seq.Lines) != fmt.Sprint(par.Lines) {
-						t.Fatalf("tid %d workers %d: lines diverged\nseq %v\npar %v",
-							tid, workers, seq.Lines, par.Lines)
+					if fmt.Sprint(one.Lines) != fmt.Sprint(par.Lines) {
+						t.Fatalf("tid %d workers %d: lines diverged\none %v\npar %v",
+							tid, workers, one.Lines, par.Lines)
 					}
-					if seq.Nodes != par.Nodes || seq.Edges != par.Edges {
+					if fmt.Sprint(mapKeys(one.PCs)) != fmt.Sprint(mapKeys(par.PCs)) {
+						t.Fatalf("tid %d workers %d: PC sets diverged", tid, workers)
+					}
+					if one.Nodes != par.Nodes || one.Edges != par.Edges {
 						t.Fatalf("tid %d workers %d: traversal diverged: %d/%d nodes, %d/%d edges",
-							tid, workers, seq.Nodes, par.Nodes, seq.Edges, par.Edges)
+							tid, workers, one.Nodes, par.Nodes, one.Edges, par.Edges)
 					}
-					if seq.TruncatedAtWindow != par.TruncatedAtWindow {
+					if one.TruncatedAtWindow != par.TruncatedAtWindow {
 						t.Fatalf("tid %d workers %d: truncation flags diverged", tid, workers)
 					}
 				}
@@ -97,18 +101,13 @@ func TestParallelBackwardMultiCriteria(t *testing.T) {
 		crits = append(crits, Criterion{ID: id, PC: pc})
 	}
 	opts := Options{FollowControl: true}
-	seq := Backward(g, w.Prog, crits, opts)
-	par := ParallelBackward(g, w.Prog, crits, opts, 4)
-	if fmt.Sprint(seq.Lines) != fmt.Sprint(par.Lines) || seq.Nodes != par.Nodes || seq.Edges != par.Edges {
-		t.Fatalf("diverged: seq %d/%d %v, par %d/%d %v",
-			seq.Nodes, seq.Edges, seq.Lines, par.Nodes, par.Edges, par.Lines)
-	}
-	if seq.Nodes < 100 {
-		t.Fatalf("closure too small to be meaningful: %d nodes", seq.Nodes)
-	}
-	// workers <= 1 must take the sequential path.
 	one := ParallelBackward(g, w.Prog, crits, opts, 1)
-	if fmt.Sprint(one.Lines) != fmt.Sprint(seq.Lines) {
-		t.Fatal("workers=1 fallback diverged")
+	par := ParallelBackward(g, w.Prog, crits, opts, 4)
+	if fmt.Sprint(one.Lines) != fmt.Sprint(par.Lines) || one.Nodes != par.Nodes || one.Edges != par.Edges {
+		t.Fatalf("diverged: one shard %d/%d %v, sharded %d/%d %v",
+			one.Nodes, one.Edges, one.Lines, par.Nodes, par.Edges, par.Lines)
+	}
+	if one.Nodes < 100 {
+		t.Fatalf("closure too small to be meaningful: %d nodes", one.Nodes)
 	}
 }

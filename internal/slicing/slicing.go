@@ -1,9 +1,20 @@
 // Package slicing computes dynamic slices over dynamic dependence
 // graphs (§2.1, §3.1): the backward closure of data (and optionally
-// control) dependences from a slicing criterion, reported as a set of
-// statements. It consumes any ddg.Source — the full offline graph,
+// control) dependences from a slicing criterion, or the forward
+// closure of the instances a start point affects, reported as a set
+// of statements. It consumes any ddg.Source — the full offline graph,
 // the compact store, or ONTRAC's reconstructing reader (whose elided
 // edges are resolved through the HintedSource extension).
+//
+// Both directions run on one traversal engine (engine.go), the
+// per-thread worker design of ONTRAC §3: the closure frontier is
+// sharded by trace thread, each shard drains its own thread's
+// dependence chains depth-first, and only cross-thread edges move
+// between shards. ParallelBackward (backward.go) supplies the
+// backward expansion, ParallelForward (forward.go) the forward one.
+// With workers <= 1 a single shard owns every thread and drains on
+// the caller's goroutine, which is the sequential slicer and the only
+// mode safe over sources that do not support concurrent reads.
 package slicing
 
 import (
@@ -38,14 +49,16 @@ type Options struct {
 	FollowControl bool
 	// FollowAnti includes WAR/WAW edges (race-detection slicing).
 	FollowAnti bool
-	// MaxNodes bounds the traversal (0 = unbounded).
+	// MaxNodes bounds the traversal (0 = unbounded). It is enforced
+	// cooperatively: with several shards a bounded traversal may
+	// visit a few nodes past the bound.
 	MaxNodes int
 	// Done, when non-nil, cancels the traversal cooperatively once it
 	// becomes readable (a context's Done channel: per-query deadlines
-	// in the trace query service). A cancelled traversal returns the
-	// valid partial slice computed so far with Interrupted set; like
-	// MaxNodes, the cut point is approximate under the parallel
-	// slicers.
+	// in the trace query service). Each shard polls it every
+	// donePollMask+1 nodes, so a closure smaller than that completes.
+	// A traversal that stops early returns the valid partial slice
+	// computed so far with Interrupted set.
 	Done <-chan struct{}
 }
 
@@ -67,6 +80,17 @@ func (o *Options) doneFired() bool {
 // donePollMask throttles doneFired checks to every 256th node.
 const donePollMask = 0xff
 
+// follows reports whether the traversal crosses an edge of kind k.
+func (o *Options) follows(k ddg.Kind) bool {
+	switch k {
+	case ddg.Control:
+		return o.FollowControl
+	case ddg.WAR, ddg.WAW:
+		return o.FollowAnti
+	}
+	return true
+}
+
 // Slice is the result: the statement-level slice plus traversal
 // metadata.
 type Slice struct {
@@ -83,14 +107,16 @@ type Slice struct {
 	// retained execution window (§2.1's window-length concern).
 	TruncatedAtWindow bool
 	// Interrupted reports that Options.Done fired and the traversal
-	// stopped early: the slice is a valid under-approximation, like a
-	// window truncation.
+	// stopped before its closure was complete: the slice is a valid
+	// under-approximation, like a window truncation. A traversal that
+	// completes is never marked, however late Done fires.
 	Interrupted bool
-	// ShardBusy, populated only by the parallel slicers, maps thread
-	// id (-1 for the orphan shard) to that shard worker's processing
-	// time, waits excluded. The max entry is the traversal's critical
-	// path on fully parallel hardware; the sum approximates one
-	// core's sequential cost.
+	// ShardBusy maps thread id to that shard's processing time, waits
+	// excluded; -1 is the shard for threads the source never
+	// recorded or, with one shard, the single entry covering all
+	// threads. The max entry is the traversal's critical path on
+	// fully parallel hardware; the sum approximates one core's
+	// sequential cost.
 	ShardBusy map[int]time.Duration
 }
 
@@ -98,79 +124,6 @@ type Slice struct {
 func (s *Slice) Contains(line int) bool {
 	i := sort.SearchInts(s.Lines, line)
 	return i < len(s.Lines) && s.Lines[i] == line
-}
-
-// Backward computes the backward dynamic slice of the criteria.
-func Backward(src ddg.Source, prog *isa.Program, crits []Criterion, opts Options) *Slice {
-	hinted, _ := src.(HintedSource)
-	res := &Slice{PCs: make(map[int32]bool)}
-	type item struct {
-		id ddg.ID
-		pc int32
-	}
-	visited := make(map[ddg.ID]bool)
-	var work []item
-	push := func(id ddg.ID, pc int32) {
-		if id == 0 || visited[id] {
-			return
-		}
-		visited[id] = true
-		lo, _ := src.Window(id.TID())
-		evicted := lo > 0 && id.N() < lo
-		deadEnd := lo == 0 && hinted == nil
-		if evicted || deadEnd {
-			// The statement reaches the slice via the incoming edge,
-			// but traversal cannot continue past the buffer window.
-			if evicted {
-				res.TruncatedAtWindow = true
-			}
-			if pc >= 0 {
-				res.PCs[pc] = true
-			}
-			return
-		}
-		work = append(work, item{id: id, pc: pc})
-	}
-	for _, c := range crits {
-		push(c.ID, c.PC)
-	}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		res.Nodes++
-		if it.pc >= 0 {
-			res.PCs[it.pc] = true
-		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-			break
-		}
-		if res.Nodes&donePollMask == 0 && opts.doneFired() {
-			res.Interrupted = true
-			break
-		}
-		yield := func(d ddg.Dep) {
-			switch d.Kind {
-			case ddg.Control:
-				if !opts.FollowControl {
-					return
-				}
-			case ddg.WAR, ddg.WAW:
-				if !opts.FollowAnti {
-					return
-				}
-			}
-			res.Edges++
-			res.PCs[d.DefPC] = true
-			push(d.Def, d.DefPC)
-		}
-		if hinted != nil {
-			hinted.DepsOfHinted(it.id, it.pc, yield)
-		} else {
-			src.DepsOf(it.id, yield)
-		}
-	}
-	res.Lines = pcsToLines(prog, res.PCs)
-	return res
 }
 
 // pcsToLines maps a PC set to a sorted, deduplicated line set. A nil
@@ -192,82 +145,4 @@ func pcsToLines(prog *isa.Program, pcs map[int32]bool) []int {
 	}
 	sort.Ints(lines)
 	return lines
-}
-
-// Forward computes the forward dynamic slice (all instances affected
-// by the start instances) over any ddg.Source — the full offline
-// graph, a compact store, per-thread shards, or ONTRAC's
-// reconstructing reader. Reverse edges are built by one scan of the
-// source's retained windows.
-//
-// Over a source with elided records (ontrac.Reader under O1/O2), the
-// forward slice under-approximates: reconstruction needs each node's
-// static PC from traversal context, which flows naturally along
-// backward edges but not forward, so flow THROUGH a fully elided
-// instance is not followed. Use the Full graph (or an unoptimized
-// trace) when the exact forward closure matters. The paper computes
-// the forward slice of the inputs online instead (ONTRAC T2); this
-// offline version exists for fault-location experiments and
-// cross-checks.
-func Forward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options) *Slice {
-	res := &Slice{PCs: make(map[int32]bool)}
-	// Build reverse adjacency.
-	rev := make(map[ddg.ID][]ddg.Dep)
-	for _, tid := range g.Threads() {
-		lo, hi := g.Window(tid)
-		for n := lo; n <= hi && lo != 0; n++ {
-			if (n-lo)&donePollMask == 0 && opts.doneFired() {
-				res.Interrupted = true
-				res.Lines = pcsToLines(prog, res.PCs)
-				return res
-			}
-			id := ddg.MakeID(tid, n)
-			g.DepsOf(id, func(d ddg.Dep) {
-				switch d.Kind {
-				case ddg.Control:
-					if !opts.FollowControl {
-						return
-					}
-				case ddg.WAR, ddg.WAW:
-					if !opts.FollowAnti {
-						return
-					}
-				}
-				rev[d.Def] = append(rev[d.Def], d)
-			})
-		}
-	}
-	visited := make(map[ddg.ID]bool)
-	var work []ddg.ID
-	for _, id := range start {
-		if !visited[id] {
-			visited[id] = true
-			work = append(work, id)
-		}
-	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		res.Nodes++
-		if pc, ok := g.NodePC(id); ok {
-			res.PCs[pc] = true
-		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-			break
-		}
-		if res.Nodes&donePollMask == 0 && opts.doneFired() {
-			res.Interrupted = true
-			break
-		}
-		for _, d := range rev[id] {
-			res.Edges++
-			res.PCs[d.UsePC] = true
-			if !visited[d.Use] {
-				visited[d.Use] = true
-				work = append(work, d.Use)
-			}
-		}
-	}
-	res.Lines = pcsToLines(prog, res.PCs)
-	return res
 }

@@ -22,6 +22,10 @@ func buildGraph(t *testing.T, text string, inputs []int64, opts ddg.ExtractorOpt
 	return sink.G, p
 }
 
+// shardCounts are the worker counts every ddg.Full case runs at: the
+// one-shard run and a sharded one.
+var shardCounts = []int{1, 4}
+
 // instanceOf returns the last dynamic instance of the instruction at
 // static pc.
 func instanceOf(g *ddg.Full, tid int, pc int32) ddg.ID {
@@ -49,17 +53,19 @@ const twoChains = `
 func TestBackwardDataSliceSeparatesChains(t *testing.T) {
 	g, p := buildGraph(t, twoChains, []int64{1, 2}, ddg.ExtractorOpts{})
 	outA := instanceOf(g, 0, 5) // out r3
-	s := Backward(g, p, []Criterion{{ID: outA, PC: 5}}, Options{})
-	// Chain A lines: in r1 (2), addi r3 (4), add r3 (6), out (7).
-	for _, want := range []int{2, 4, 6, 7} {
-		if !s.Contains(want) {
-			t.Fatalf("slice %v missing line %d", s.Lines, want)
+	for _, workers := range shardCounts {
+		s := ParallelBackward(g, p, []Criterion{{ID: outA, PC: 5}}, Options{}, workers)
+		// Chain A lines: in r1 (2), addi r3 (4), add r3 (6), out (7).
+		for _, want := range []int{2, 4, 6, 7} {
+			if !s.Contains(want) {
+				t.Fatalf("workers %d: slice %v missing line %d", workers, s.Lines, want)
+			}
 		}
-	}
-	// Chain B must be absent.
-	for _, bad := range []int{3, 5, 8} {
-		if s.Contains(bad) {
-			t.Fatalf("slice %v wrongly includes line %d", s.Lines, bad)
+		// Chain B must be absent.
+		for _, bad := range []int{3, 5, 8} {
+			if s.Contains(bad) {
+				t.Fatalf("workers %d: slice %v wrongly includes line %d", workers, s.Lines, bad)
+			}
 		}
 	}
 }
@@ -77,36 +83,40 @@ skip:
 func TestControlDependenceInclusion(t *testing.T) {
 	g, p := buildGraph(t, branchy, []int64{1}, ddg.ExtractorOpts{ControlDeps: true})
 	out := instanceOf(g, 0, 4) // out r2 at pc 4
-	noCtrl := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{})
-	// Data-only: out <- movi r2,5 (no further deps: constant).
-	if noCtrl.Contains(4) {
-		t.Fatalf("data slice %v should not include the branch", noCtrl.Lines)
-	}
-	ctrl := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{FollowControl: true})
-	// With control deps: movi r2,5 is governed by beqz, which reads
-	// r1 from the input.
-	for _, want := range []int{2, 4, 5} {
-		if !ctrl.Contains(want) {
-			t.Fatalf("full slice %v missing line %d", ctrl.Lines, want)
+	for _, workers := range shardCounts {
+		noCtrl := ParallelBackward(g, p, []Criterion{{ID: out, PC: 4}}, Options{}, workers)
+		// Data-only: out <- movi r2,5 (no further deps: constant).
+		if noCtrl.Contains(4) {
+			t.Fatalf("workers %d: data slice %v should not include the branch", workers, noCtrl.Lines)
 		}
-	}
-	if ctrl.Edges <= noCtrl.Edges {
-		t.Fatal("control slice should traverse more edges")
+		ctrl := ParallelBackward(g, p, []Criterion{{ID: out, PC: 4}}, Options{FollowControl: true}, workers)
+		// With control deps: movi r2,5 is governed by beqz, which reads
+		// r1 from the input.
+		for _, want := range []int{2, 4, 5} {
+			if !ctrl.Contains(want) {
+				t.Fatalf("workers %d: full slice %v missing line %d", workers, ctrl.Lines, want)
+			}
+		}
+		if ctrl.Edges <= noCtrl.Edges {
+			t.Fatalf("workers %d: control slice should traverse more edges", workers)
+		}
 	}
 }
 
 func TestForwardSliceFromInput(t *testing.T) {
 	g, p := buildGraph(t, twoChains, []int64{1, 2}, ddg.ExtractorOpts{})
 	// Forward from the first IN instance (input A, node 0:1).
-	s := Forward(g, p, []ddg.ID{ddg.MakeID(0, 1)}, Options{})
-	for _, want := range []int{2, 4, 6, 7} {
-		if !s.Contains(want) {
-			t.Fatalf("forward slice %v missing line %d", s.Lines, want)
+	for _, workers := range shardCounts {
+		s := ParallelForward(g, p, []ddg.ID{ddg.MakeID(0, 1)}, Options{}, workers)
+		for _, want := range []int{2, 4, 6, 7} {
+			if !s.Contains(want) {
+				t.Fatalf("workers %d: forward slice %v missing line %d", workers, s.Lines, want)
+			}
 		}
-	}
-	for _, bad := range []int{3, 5, 8} {
-		if s.Contains(bad) {
-			t.Fatalf("forward slice %v wrongly includes line %d", s.Lines, bad)
+		for _, bad := range []int{3, 5, 8} {
+			if s.Contains(bad) {
+				t.Fatalf("workers %d: forward slice %v wrongly includes line %d", workers, s.Lines, bad)
+			}
 		}
 	}
 }
@@ -126,10 +136,12 @@ child:
     halt
 `, []int64{5}, ddg.ExtractorOpts{})
 	out := instanceOf(g, 0, 4)
-	s := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{})
-	for _, want := range []int{3, 10, 11, 6, 7} {
-		if !s.Contains(want) {
-			t.Fatalf("cross-thread slice %v missing line %d", s.Lines, want)
+	for _, workers := range shardCounts {
+		s := ParallelBackward(g, p, []Criterion{{ID: out, PC: 4}}, Options{}, workers)
+		for _, want := range []int{3, 10, 11, 6, 7} {
+			if !s.Contains(want) {
+				t.Fatalf("workers %d: cross-thread slice %v missing line %d", workers, s.Lines, want)
+			}
 		}
 	}
 }
@@ -145,9 +157,11 @@ loop:
     halt
 `, nil, ddg.ExtractorOpts{})
 	out := instanceOf(g, 0, 4)
-	s := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{MaxNodes: 10})
-	if s.Nodes > 10 {
-		t.Fatalf("visited %d nodes with MaxNodes=10", s.Nodes)
+	for _, workers := range shardCounts {
+		s := ParallelBackward(g, p, []Criterion{{ID: out, PC: 4}}, Options{MaxNodes: 10}, workers)
+		if s.Nodes > 10 {
+			t.Fatalf("workers %d: visited %d nodes with MaxNodes=10", workers, s.Nodes)
+		}
 	}
 }
 
@@ -162,19 +176,22 @@ func TestAntiDependenceOption(t *testing.T) {
     halt
 `, nil, ddg.ExtractorOpts{WARWAW: true})
 	w2 := instanceOf(g, 0, 4) // second store
-	plain := Backward(g, p, []Criterion{{ID: w2, PC: 4}}, Options{})
-	if plain.Contains(4) {
-		t.Fatalf("plain slice %v should not include the read", plain.Lines)
-	}
-	anti := Backward(g, p, []Criterion{{ID: w2, PC: 4}}, Options{FollowAnti: true})
-	if !anti.Contains(4) || !anti.Contains(3) {
-		t.Fatalf("anti slice %v missing WAR/WAW statements", anti.Lines)
+	for _, workers := range shardCounts {
+		plain := ParallelBackward(g, p, []Criterion{{ID: w2, PC: 4}}, Options{}, workers)
+		if plain.Contains(4) {
+			t.Fatalf("workers %d: plain slice %v should not include the read", workers, plain.Lines)
+		}
+		anti := ParallelBackward(g, p, []Criterion{{ID: w2, PC: 4}}, Options{FollowAnti: true}, workers)
+		if !anti.Contains(4) || !anti.Contains(3) {
+			t.Fatalf("workers %d: anti slice %v missing WAR/WAW statements", workers, anti.Lines)
+		}
 	}
 }
 
 func TestWindowTruncation(t *testing.T) {
 	// A compact ring small enough to evict early history: slicing
-	// reports truncation.
+	// reports truncation. A lone Compact is not safe for concurrent
+	// reads, so this runs one shard only.
 	p := isa.MustAssemble("t", `
     in r1, 0
     movi r3, 0
@@ -197,7 +214,7 @@ loop:
 	_, hi := c.Window(0)
 	crit := ddg.MakeID(0, hi)
 	pc, _ := c.NodePC(crit)
-	s := Backward(c, p, []Criterion{{ID: crit, PC: pc}}, Options{})
+	s := ParallelBackward(c, p, []Criterion{{ID: crit, PC: pc}}, Options{}, 1)
 	if !s.TruncatedAtWindow {
 		t.Fatal("expected window truncation")
 	}

@@ -15,8 +15,8 @@ import (
 
 // The BenchmarkStore* suite measures the persistence layer: spill
 // throughput (sync and async writers over a pre-recorded chunk
-// stream), cold-reopen backward-slice latency, and the parallel
-// offline slicer's speedup over sequential traversal of the same
+// stream), cold-reopen backward-slice latency, and the sharded
+// offline slicer's speedup over a one-shard traversal of the same
 // reopened store.
 
 // benchWorkload is the multi-thread trace the benches slice: parallel
@@ -127,7 +127,7 @@ func benchCriterion(b testing.TB, r *Reader) slicing.Criterion {
 }
 
 // coldSlice reopens the store from disk and runs one backward slice
-// (workers <= 1: sequential).
+// (workers <= 1: one shard).
 func coldSlice(b testing.TB, dir string, workers int) *slicing.Slice {
 	r, err := Open(dir, ReaderOptions{CacheChunks: 64})
 	if err != nil {
@@ -137,29 +137,48 @@ func coldSlice(b testing.TB, dir string, workers int) *slicing.Slice {
 	w := benchWorkload()
 	crit := benchCriterion(b, r)
 	opts := slicing.Options{FollowControl: true}
-	var s *slicing.Slice
-	if workers <= 1 {
-		s = slicing.Backward(r, w.Prog, []slicing.Criterion{crit}, opts)
-	} else {
-		s = slicing.ParallelBackward(r, w.Prog, []slicing.Criterion{crit}, opts, workers)
-	}
+	s := slicing.ParallelBackward(r, w.Prog, []slicing.Criterion{crit}, opts, workers)
 	if s.Nodes < 1000 {
 		b.Fatalf("closure too small to mean anything: %d nodes", s.Nodes)
 	}
 	return s
 }
 
-func benchReopenSlice(b *testing.B, workers int) {
+// coldForward reopens the store from disk and runs one forward slice
+// from every thread's oldest recorded instance (workers <= 1: one
+// shard). The scan of every retained window dominates.
+func coldForward(b testing.TB, dir string, workers int) *slicing.Slice {
+	r, err := Open(dir, ReaderOptions{CacheChunks: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	w := benchWorkload()
+	var start []ddg.ID
+	for _, tid := range r.Threads() {
+		if lo, _ := r.Window(tid); lo != 0 {
+			start = append(start, ddg.MakeID(tid, lo))
+		}
+	}
+	s := slicing.ParallelForward(r, w.Prog, start, slicing.Options{FollowControl: true}, workers)
+	if s.Nodes < 1000 {
+		b.Fatalf("closure too small to mean anything: %d nodes", s.Nodes)
+	}
+	return s
+}
+
+func benchReopen(b *testing.B, cold func(testing.TB, string, int) *slicing.Slice, workers int) {
 	dir := benchStore(b)
 	b.ResetTimer()
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		nodes = coldSlice(b, dir, workers).Nodes
+		nodes = cold(b, dir, workers).Nodes
 	}
 	if el := b.Elapsed().Seconds(); el > 0 {
 		b.ReportMetric(float64(nodes*b.N)/el, "nodes/s")
 	}
 }
 
-func BenchmarkStoreReopenBackwardSeq(b *testing.B) { benchReopenSlice(b, 1) }
-func BenchmarkStoreParallelBackward(b *testing.B)  { benchReopenSlice(b, 2) }
+func BenchmarkStoreReopenBackwardOneShard(b *testing.B) { benchReopen(b, coldSlice, 1) }
+func BenchmarkStoreParallelBackward(b *testing.B)       { benchReopen(b, coldSlice, 2) }
+func BenchmarkStoreReopenForwardOneShard(b *testing.B)  { benchReopen(b, coldForward, 1) }

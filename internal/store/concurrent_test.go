@@ -16,14 +16,14 @@ import (
 // reader's chunk cache is kept tiny so goroutines constantly miss,
 // evict, and race on the same chunks, exercising the
 // decode-outside-the-lock path; every query's result is held to the
-// sequentially computed expectation. Run under -race by the CI test
+// expectation computed by one-shard traversals beforehand. Run under -race by the CI test
 // job.
 func TestConcurrentReaderStress(t *testing.T) {
 	w := prog.PSum(4, 2000, 7)
 	_, r := runSpilled(t, w, ontrac.Unoptimized(), 1)
 	sopts := slicing.Options{FollowControl: true}
 
-	// Sequential ground truth per thread, computed before the storm.
+	// One-shard ground truth per thread, computed before the storm.
 	type expectation struct {
 		tid      int
 		crit     slicing.Criterion
@@ -46,8 +46,8 @@ func TestConcurrentReaderStress(t *testing.T) {
 			crit:  slicing.Criterion{ID: ddg.MakeID(tid, hi), PC: pc},
 			start: ddg.MakeID(tid, lo),
 		}
-		e.backward = slicing.Backward(r, w.Prog, []slicing.Criterion{e.crit}, sopts)
-		e.forward = slicing.Forward(r, w.Prog, []ddg.ID{e.start}, sopts)
+		e.backward = slicing.ParallelBackward(r, w.Prog, []slicing.Criterion{e.crit}, sopts, 1)
+		e.forward = slicing.ParallelForward(r, w.Prog, []ddg.ID{e.start}, sopts, 1)
 		exps = append(exps, e)
 	}
 	if len(exps) < 2 {
@@ -72,11 +72,11 @@ func TestConcurrentReaderStress(t *testing.T) {
 					}
 					return true
 				}
-				// Rotate query shapes so sequential, parallel, and
+				// Rotate query shapes so one-shard, sharded, and
 				// budgeted traversals overlap on the same chunks.
 				switch (gi + qi) % 4 {
 				case 0:
-					if !check("Backward", slicing.Backward(r, w.Prog, []slicing.Criterion{e.crit}, sopts), e.backward) {
+					if !check("Backward", slicing.ParallelBackward(r, w.Prog, []slicing.Criterion{e.crit}, sopts, 1), e.backward) {
 						return
 					}
 				case 1:
@@ -91,7 +91,7 @@ func TestConcurrentReaderStress(t *testing.T) {
 					// A roomy budget must not change results; its
 					// accounting races with every other query here.
 					b := NewBudget(1 << 20)
-					if !check("budgeted Backward", slicing.Backward(r.Budgeted(b), w.Prog, []slicing.Criterion{e.crit}, sopts), e.backward) {
+					if !check("budgeted Backward", slicing.ParallelBackward(r.Budgeted(b), w.Prog, []slicing.Criterion{e.crit}, sopts, 1), e.backward) {
 						return
 					}
 					if b.Exhausted() {
@@ -104,7 +104,7 @@ func TestConcurrentReaderStress(t *testing.T) {
 			// contention, result discarded (a tiny budget makes the
 			// slice an under-approximation by design).
 			b := NewBudget(1)
-			sl := slicing.Backward(r.Budgeted(b), w.Prog, []slicing.Criterion{exps[0].crit}, sopts)
+			sl := slicing.ParallelBackward(r.Budgeted(b), w.Prog, []slicing.Criterion{exps[0].crit}, sopts, 1)
 			if sl.Nodes > exps[0].backward.Nodes {
 				errc <- fmt.Errorf("g%d: budgeted slice larger than unbudgeted", gi)
 			}
@@ -131,7 +131,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	pc, _ := r.NodePC(ddg.MakeID(tid, hi))
 	crits := []slicing.Criterion{{ID: ddg.MakeID(tid, hi), PC: pc}}
 	sopts := slicing.Options{FollowControl: true}
-	full := slicing.Backward(r, w.Prog, crits, sopts)
+	full := slicing.ParallelBackward(r, w.Prog, crits, sopts, 1)
 	if r.Chunks() < 3 {
 		t.Fatalf("trace too small (%d chunks) to exhaust a budget", r.Chunks())
 	}
@@ -142,7 +142,7 @@ func TestBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBudget(1)
-	starved := slicing.Backward(r2.Budgeted(b), w.Prog, crits, sopts)
+	starved := slicing.ParallelBackward(r2.Budgeted(b), w.Prog, crits, sopts, 1)
 	if !b.Exhausted() {
 		t.Fatal("one-load budget never exhausted")
 	}
@@ -151,7 +151,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 
 	unlimited := NewBudget(0)
-	again := slicing.Backward(r2.Budgeted(unlimited), w.Prog, crits, sopts)
+	again := slicing.ParallelBackward(r2.Budgeted(unlimited), w.Prog, crits, sopts, 1)
 	if fmt.Sprint(again.Lines) != fmt.Sprint(full.Lines) || again.Nodes != full.Nodes || again.Edges != full.Edges {
 		t.Fatal("unlimited budget diverged from direct reader")
 	}

@@ -16,7 +16,7 @@ import (
 // spilling to a store, then REOPENED FROM DISK and held to the
 // in-memory results — identical windows, identical backward and
 // forward slices, over both the raw sources and the reconstructing
-// ontrac readers, sequential and parallel.
+// ontrac readers, one-shard and sharded.
 
 const diffSchedules = 4
 
@@ -57,8 +57,8 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 
 // diffSlices compares backward and forward slices between an
 // in-memory source and its on-disk reopen, both raw and through the
-// reconstructing readers, and holds ParallelBackward over the store
-// to the sequential result.
+// reconstructing readers, and holds the sharded ParallelBackward over
+// the store to the one-shard result.
 func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options, off *ontrac.Offloaded, r *Reader) {
 	t.Helper()
 	mem := off.Shards()
@@ -87,8 +87,8 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options
 		}
 
 		// Raw backward slices (no reconstruction).
-		bm := slicing.Backward(mem, w.Prog, []slicing.Criterion{{ID: crit, PC: pcM}}, sopts)
-		bd := slicing.Backward(r, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts)
+		bm := slicing.ParallelBackward(mem, w.Prog, []slicing.Criterion{{ID: crit, PC: pcM}}, sopts, 1)
+		bd := slicing.ParallelBackward(r, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts, 1)
 		if fmt.Sprint(bm.Lines) != fmt.Sprint(bd.Lines) || bm.Nodes != bd.Nodes || bm.Edges != bd.Edges {
 			t.Fatalf("seed %d tid %d: raw backward diverged:\nmem  %v (%d/%d)\ndisk %v (%d/%d)",
 				seed, tid, bm.Lines, bm.Nodes, bm.Edges, bd.Lines, bd.Nodes, bd.Edges)
@@ -96,29 +96,29 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options
 
 		// Reconstructing backward slices (O1/O2 edges re-synthesized
 		// over the on-disk records).
-		rm := slicing.Backward(memR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcM}}, sopts)
-		rd := slicing.Backward(diskR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts)
+		rm := slicing.ParallelBackward(memR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcM}}, sopts, 1)
+		rd := slicing.ParallelBackward(diskR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts, 1)
 		if fmt.Sprint(rm.Lines) != fmt.Sprint(rd.Lines) || rm.Nodes != rd.Nodes || rm.Edges != rd.Edges {
 			t.Fatalf("seed %d tid %d: reconstructed backward diverged:\nmem  %v\ndisk %v",
 				seed, tid, rm.Lines, rd.Lines)
 		}
 		sliceLines += len(rd.Lines)
 
-		// The parallel traversal over the on-disk store must agree
-		// with the sequential one. Raw source only: O2 reconstruction
+		// The sharded traversal over the on-disk store must agree
+		// with the one-shard one. Raw source only: O2 reconstruction
 		// can attach different PC hints to a node depending on which
 		// edge discovers it first, so hinted traversals are only
 		// order-stable for exact sources.
 		pd := slicing.ParallelBackward(r, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts, 4)
 		if fmt.Sprint(pd.Lines) != fmt.Sprint(bd.Lines) || pd.Nodes != bd.Nodes || pd.Edges != bd.Edges {
-			t.Fatalf("seed %d tid %d: ParallelBackward diverged from Backward over the store",
+			t.Fatalf("seed %d tid %d: sharded backward diverged from one shard over the store",
 				seed, tid)
 		}
 
 		// Forward slices over the raw sources.
 		start := []ddg.ID{ddg.MakeID(tid, 1)}
-		fm := slicing.Forward(mem, w.Prog, start, sopts)
-		fd := slicing.Forward(r, w.Prog, start, sopts)
+		fm := slicing.ParallelForward(mem, w.Prog, start, sopts, 1)
+		fd := slicing.ParallelForward(r, w.Prog, start, sopts, 1)
 		if fmt.Sprint(fm.Lines) != fmt.Sprint(fd.Lines) {
 			t.Fatalf("seed %d tid %d: forward diverged:\nmem  %v\ndisk %v",
 				seed, tid, fm.Lines, fd.Lines)
@@ -230,9 +230,9 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 	// Note: even an unbounded Compact reports TruncatedAtWindow when
 	// an edge points below the first RECORDED instance (defs that
 	// stored no record), so the flag is compared, not asserted off.
-	want := slicing.Backward(trRef.Buffer(), ref.Prog, crits, sopts)
-	gotMem := slicing.Backward(trCap.Buffer(), capped.Prog, crits, sopts)
-	gotDisk := slicing.Backward(r, capped.Prog, crits, sopts)
+	want := slicing.ParallelBackward(trRef.Buffer(), ref.Prog, crits, sopts, 1)
+	gotMem := slicing.ParallelBackward(trCap.Buffer(), capped.Prog, crits, sopts, 1)
+	gotDisk := slicing.ParallelBackward(r, capped.Prog, crits, sopts, 1)
 	if fmt.Sprint(want.Lines) != fmt.Sprint(gotDisk.Lines) ||
 		want.Nodes != gotDisk.Nodes || want.Edges != gotDisk.Edges ||
 		want.TruncatedAtWindow != gotDisk.TruncatedAtWindow {
